@@ -18,12 +18,14 @@ in-process transport and the engine worker-process shard protocol in
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.apu import APUModel
+from repro.ml.predictors import PerfPowerPredictor
 from repro.obs import Instrumentation, make_instrumentation
 from repro.runtime.events import KernelLaunch
-from repro.runtime.manager import SessionManager, chunk_distinct_sessions
+from repro.runtime.manager import SessionManager
 from repro.runtime.session import SessionStats
 from repro.sim.simulator import OverheadModel
 from repro.workloads.counters import CounterSynthesizer
@@ -43,12 +45,12 @@ class FleetNode:
             (taken from the trace header by the simulator).
         use_matrix: Decision-core path for MPC/PPK sessions.
         batched: Feed each epoch's events through
-            ``SessionManager.step_batch`` in maximal distinct-session
-            chunks (the default); ``False`` dispatches one at a time.
+            ``SessionManager.step_batch`` in per-session wavefronts
+            (the default); ``False`` dispatches one at a time.
             Decisions are identical either way (the step-batch
             differential contract).
-        cache_dir: Random Forest cache directory for ``forest``
-            predictor specs.
+        cache_dir: Random Forest cache directory; the node loads one
+            forest from it, on its first ``forest`` predictor session.
         obs: Node-local instrumentation.  Defaults to a live private
             registry/tracer pair whose contents ship to the parent at
             each epoch via :meth:`drain_obs` (the engine-worker merge
@@ -95,6 +97,13 @@ class FleetNode:
 
     # ----- session lifecycle ----------------------------------------------------
 
+    @cached_property
+    def forest(self) -> PerfPowerPredictor:
+        """The node's Random Forest predictor, loaded on first use."""
+        from repro.ml.predictors import train_predictor
+
+        return train_predictor(apu=self.apu, cache_dir=self.cache_dir)
+
     def add_session(self, spec: SessionSpec,
                     kernels: Sequence[KernelSpec]) -> None:
         """Place a session on this node, building its policy."""
@@ -106,7 +115,7 @@ class FleetNode:
             overhead=self.overhead,
             obs=self.obs,
             use_matrix=self.use_matrix,
-            cache_dir=self.cache_dir,
+            forest=lambda: self.forest,
         )
         self.manager.add_session(
             spec.session_id,
@@ -139,8 +148,9 @@ class FleetNode:
         the shard pipe never re-ships a ``KernelSpec`` per launch.
 
         Returns ``(session_id, index, decision)`` per event, in input
-        order — the picklable form the parent folds into the fleet
-        report and the differential tests compare float-for-float.
+        order (spans follow the wavefronts) — the picklable form the
+        parent folds into the fleet report and the differential tests
+        compare float-for-float.
         """
         launches = [
             KernelLaunch(
@@ -150,15 +160,10 @@ class FleetNode:
             )
             for index, session_id, kernel_key in events
         ]
-        outcomes = []
         if self.batched:
-            for chunk in chunk_distinct_sessions(
-                launches, key=lambda l: l.session_id
-            ):
-                outcomes.extend(self.manager.step_batch(chunk))
+            outcomes = self.manager.step_wavefronts(launches)
         else:
-            for launch in launches:
-                outcomes.append(self.manager.dispatch(launch))
+            outcomes = [self.manager.dispatch(launch) for launch in launches]
         return [
             (o.session_id, o.record.index, outcome_decision(o))
             for o in outcomes

@@ -10,7 +10,8 @@ behind one post/collect protocol:
   (one per node, as the engine lane runs request workers), speaking a
   ``(command, args)`` / ``("ok" | "err", payload)`` pipe protocol.
   Worker failures re-raise parent-side as :class:`ShardError` with the
-  original remote traceback, mirroring ``EngineWorkerError``.
+  original remote traceback, mirroring ``EngineWorkerError``; a dead
+  worker raises it too, naming the worker's exit code.
 
 The protocol is split into :meth:`post` and :meth:`collect` so the
 parent can post one epoch's work to *every* node before collecting any
@@ -152,19 +153,40 @@ class ProcessShard:
 
     def post(self, command: str, *args: Any) -> None:
         """Send one command; the worker executes commands in order."""
-        self._conn.send((command, args))
+        dead = False
+        try:
+            self._conn.send((command, args))
+        except OSError:
+            # Raise outside the handler: the failed send's frames hold an
+            # exported pickle buffer that a chained error would keep alive.
+            dead = True
+        if dead:
+            raise self._worker_died(command) from None
         self._pending.append(command)
 
     def collect(self) -> List[Any]:
         """Block for every posted command's result, in post order."""
         results = []
         while self._pending:
-            status, payload = self._conn.recv()
             command = self._pending.pop(0)
+            try:
+                status, payload = self._conn.recv()
+            except (EOFError, OSError):
+                raise self._worker_died(command) from None
             if status != "ok":
                 raise ShardError(self.node_id, command, payload)
             results.append(payload)
         return results
+
+    def _worker_died(self, command: str) -> ShardError:
+        """The error for a worker whose pipe closed under ``command``."""
+        self._pending.clear()
+        self._process.join(timeout=1.0)
+        return ShardError(
+            self.node_id, command,
+            f"worker process died (exit code {self._process.exitcode}); "
+            "no remote traceback",
+        )
 
     def close(self) -> None:
         """Shut the worker down and reap it."""

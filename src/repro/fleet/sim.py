@@ -6,7 +6,7 @@ sessions are placed on the least-loaded node the first time they
 launch, their events buffer per node, and every ``epoch_launches``
 dispatched events the fleet flushes an **epoch**:
 
-1. each node processes its buffered slice (``step_batch`` chunks),
+1. each node processes its buffered slice (``step_batch`` wavefronts),
 2. each node reports epoch-windowed demand (power, throughput),
 3. the :class:`~repro.fleet.budget.BudgetAllocator` re-apportions the
    global cap and the new per-node budgets are pushed down (becoming
@@ -123,9 +123,10 @@ class FleetSimulator:
             placement-invariant, so rebalancing never changes them).
         min_floor_w / headroom_frac: Allocator policy knobs.
         use_matrix: Decision-core path for MPC/PPK sessions.
-        batched: Step nodes through ``step_batch`` chunks (default) or
+        batched: Step nodes through ``step_batch`` wavefronts (default) or
             one event at a time.
-        cache_dir: Random Forest cache directory.
+        cache_dir: Random Forest cache directory; each node loads one
+            forest from it, on its first forest-backed session.
     """
 
     def __init__(

@@ -16,7 +16,7 @@ and resumed by a different worker (``persist`` / ``resume``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.hardware.apu import APUModel
 from repro.hardware.config import FAILSAFE_CONFIG, HardwareConfig
@@ -31,34 +31,29 @@ from repro.sim.policy import PowerPolicy
 from repro.sim.simulator import MANAGER_CONFIG, OverheadModel
 from repro.workloads.counters import CounterSynthesizer
 
-__all__ = ["SessionManager", "chunk_distinct_sessions"]
+__all__ = ["SessionManager", "wavefronts"]
 
 
-def chunk_distinct_sessions(items: Sequence[Any], key: Any) -> List[List[Any]]:
-    """Split ``items`` into maximal distinct-session runs, in order.
+def wavefronts(events: Sequence[KernelLaunch]
+               ) -> List[List[Tuple[int, KernelLaunch]]]:
+    """Split an interleaved event stream into per-session wavefronts.
 
-    A chunk closes as soon as a session repeats, so each chunk is a
-    legal :meth:`SessionManager.step_batch` input and per-session item
-    order is preserved across chunks.  Shared by the trace replayer's
-    batched mode and the fleet nodes.
-
-    Args:
-        items: The ordered items to chunk.
-        key: Callable mapping an item to its session id.
+    Wave ``k`` holds the ``k``-th event of every session that has one,
+    as ``(input position, event)`` pairs in input order.  Each wave is a
+    legal :meth:`SessionManager.step_batch` input, and stepping the
+    waves in order keeps every session's own event order; only the
+    interleaving across sessions moves (see
+    :meth:`SessionManager.step_wavefronts`).
     """
-    chunks: List[List[Any]] = []
-    chunk: List[Any] = []
-    sessions: set = set()
-    for item in items:
-        sid = key(item)
-        if sid in sessions:
-            chunks.append(chunk)
-            chunk, sessions = [], set()
-        chunk.append(item)
-        sessions.add(sid)
-    if chunk:
-        chunks.append(chunk)
-    return chunks
+    waves: List[List[Tuple[int, KernelLaunch]]] = []
+    depth: Dict[str, int] = {}
+    for position, event in enumerate(events):
+        k = depth.get(event.session_id, 0)
+        depth[event.session_id] = k + 1
+        if k == len(waves):
+            waves.append([])
+        waves[k].append((position, event))
+    return waves
 
 
 class SessionManager:
@@ -296,11 +291,33 @@ class SessionManager:
                     "Prefetched sweep requests served by another "
                     "session's sweep",
                 ).inc(requested - swept)
+                registry.histogram(
+                    "repro_runtime_batch_size",
+                    "Launches per step_batch call",
+                    buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
+                ).observe(len(events))
 
             return [self.dispatch(event) for event in events]
         finally:
             for optimizer in preloaded:
                 optimizer.clear_preload()
+
+    def step_wavefronts(self, events: Sequence[KernelLaunch]
+                        ) -> List[LaunchOutcome]:
+        """Process an interleaved event stream as ``step_batch`` waves.
+
+        Each of the stream's :func:`wavefronts` is one batch.  Sessions
+        share no mutable state, so the outcomes — returned in input
+        order — are what :meth:`dispatch` would produce event by event;
+        only the order in which launches execute (and emit their spans)
+        moves across sessions.
+        """
+        outcomes: List[Any] = [None] * len(events)
+        for wave in wavefronts(events):
+            stepped = self.step_batch([event for _, event in wave])
+            for (position, _), outcome in zip(wave, stepped):
+                outcomes[position] = outcome
+        return outcomes
 
     # ----- power budget ----------------------------------------------------------
 

@@ -20,7 +20,8 @@ harness in ``tests/differential/``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.manager import MPCPowerManager
 from repro.core.policies import FixedConfigPolicy, PPKPolicy
@@ -28,7 +29,7 @@ from repro.hardware.apu import APUModel
 from repro.ml.predictors import OraclePredictor, PerfPowerPredictor
 from repro.obs import Instrumentation, make_instrumentation
 from repro.runtime.events import LaunchOutcome
-from repro.runtime.manager import SessionManager, chunk_distinct_sessions
+from repro.runtime.manager import SessionManager
 from repro.runtime.session import SessionStats
 from repro.sim.policy import PowerPolicy
 from repro.sim.simulator import OverheadModel, Simulator
@@ -78,7 +79,7 @@ def build_policy(
     overhead: OverheadModel,
     obs: Optional[Instrumentation] = None,
     use_matrix: bool = True,
-    cache_dir: str = ".cache",
+    forest: Optional[Callable[[], PerfPowerPredictor]] = None,
 ) -> PowerPolicy:
     """Instantiate the policy a session spec describes.
 
@@ -92,7 +93,9 @@ def build_policy(
             scalar hill-climb (float-identical to the columnar path by
             the vectorization contract; the differential harness
             asserts exactly that).
-        cache_dir: Random Forest cache directory (``forest`` predictor).
+        forest: Returns the host's one Random Forest predictor; called
+            only for ``forest`` predictor specs.  Sharing the stateless
+            predictor lets ``step_batch`` group the policies' sweeps.
     """
     if spec.kind == "turbo":
         return TurboCorePolicy(tdp_w=apu.tdp_w)
@@ -103,10 +106,10 @@ def build_policy(
     predictor: PerfPowerPredictor
     if spec.predictor == "oracle":
         predictor = OraclePredictor(apu, kernels)
+    elif forest is None:
+        raise ValueError("a forest predictor spec needs the host's forest")
     else:
-        from repro.ml.predictors import train_predictor
-
-        predictor = train_predictor(apu=apu, cache_dir=cache_dir)
+        predictor = forest()
     if spec.kind == "ppk":
         return PPKPolicy(
             spec.target_throughput, predictor, use_matrix=use_matrix
@@ -255,13 +258,14 @@ class TraceReplayer:
         use_matrix: Decision-core path for MPC/PPK sessions (``False``
             selects the scalar hill-climb).
         batched: Feed events through ``SessionManager.step_batch`` in
-            maximal distinct-session chunks instead of one at a time.
-            Decisions and stats are identical to streaming (asserted by
-            ``tests/differential/test_step_batch.py``).
+            per-session wavefronts instead of one at a time.  Decisions
+            and stats are identical to streaming (asserted by
+            ``tests/differential/test_step_batch.py``); spans follow
+            the waves.
         check: Compare outcomes against recorded decisions, when the
             trace carries them.
-        cache_dir: Random Forest cache directory for ``forest``
-            predictor specs.
+        cache_dir: Random Forest cache directory; the replay loads one
+            forest from it, on its first ``forest`` predictor spec.
     """
 
     def __init__(
@@ -289,6 +293,13 @@ class TraceReplayer:
         # metrics), and instrumentation never affects numerics.
         self.obs = make_instrumentation(health=True)
 
+    @cached_property
+    def forest(self) -> PerfPowerPredictor:
+        """The replay's Random Forest predictor, loaded on first use."""
+        from repro.ml.predictors import train_predictor
+
+        return train_predictor(apu=self.apu, cache_dir=self.cache_dir)
+
     def _build_manager(self) -> SessionManager:
         manager = SessionManager(
             apu=self.apu,
@@ -306,7 +317,7 @@ class TraceReplayer:
                 overhead=self.overhead,
                 obs=self.obs,
                 use_matrix=self.use_matrix,
-                cache_dir=self.cache_dir,
+                forest=lambda: self.forest,
             )
             manager.add_session(
                 spec.session_id,
@@ -342,18 +353,6 @@ class TraceReplayer:
             )
         return drift
 
-    def _event_chunks(self) -> List[List[Tuple[int, TraceEvent]]]:
-        """Maximal distinct-session runs of the event stream, in order.
-
-        A chunk closes as soon as a session repeats, so each chunk is a
-        legal ``step_batch`` input and per-session event order is
-        preserved across chunks.
-        """
-        return chunk_distinct_sessions(
-            list(enumerate(self.trace.events)),
-            key=lambda pair: pair[1].session,
-        )
-
     def replay(self) -> ReplayReport:
         """Run the whole trace; returns the full report."""
         manager = self._build_manager()
@@ -363,23 +362,17 @@ class TraceReplayer:
             health=self.obs.health,
         )
 
-        def consume(position: int, event: TraceEvent,
-                    outcome: LaunchOutcome) -> None:
-            report.outcomes.append(outcome)
+        events = self.trace.events
+        launches = [event.as_launch() for event in events]
+        if self.batched:
+            outcomes = manager.step_wavefronts(launches)
+        else:
+            outcomes = [manager.dispatch(launch) for launch in launches]
+        report.outcomes = outcomes
+        for position, (event, outcome) in enumerate(zip(events, outcomes)):
             if self.check and event.decision is not None:
                 report.checked += 1
                 report.mismatches.extend(self._compare(position, event, outcome))
-
-        if self.batched:
-            for chunk in self._event_chunks():
-                outcomes = manager.step_batch(
-                    [event.as_launch() for _, event in chunk]
-                )
-                for (position, event), outcome in zip(chunk, outcomes):
-                    consume(position, event, outcome)
-        else:
-            for position, event in enumerate(self.trace.events):
-                consume(position, event, manager.dispatch(event.as_launch()))
         report.stats = {
             sid: manager.session(sid).stats for sid in manager.session_ids()
         }

@@ -7,6 +7,8 @@ rule code runs unchanged against the real tree and the fixtures.
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import run_lint
 
 #: Repository root (tests/analysis/conftest.py -> repo).
@@ -25,3 +27,9 @@ def lint_fixture(*names, select=None, ignore=None):
     """
     paths = [str(FIXTURES / name) for name in names]
     return run_lint(paths, select=select, ignore=ignore, root=str(REPO_ROOT))
+
+
+@pytest.fixture(scope="session")
+def shipped_lint():
+    """One all-rules lint of ``src``, shared by the whole-tree tests."""
+    return run_lint([str(REPO_ROOT / "src")], root=str(REPO_ROOT))

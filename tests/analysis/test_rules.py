@@ -179,9 +179,9 @@ def test_rl013_real_allocator_carries_the_assertion():
     assert result.findings == []
 
 
-def test_shipped_tree_is_clean():
+def test_shipped_tree_is_clean(shipped_lint):
     """The acceptance bar: ``repro lint src`` exits 0 on the repo itself."""
-    result = run_lint([str(REPO_ROOT / "src")], root=str(REPO_ROOT))
+    result = shipped_lint
     assert result.findings == []
     assert result.exit_code == 0
     assert result.files_checked > 50

@@ -27,14 +27,15 @@ pytestmark = pytest.mark.traces
 def _metric_lines(registry):
     """Registry snapshot rows, minus step_batch's own bookkeeping.
 
-    The four ``repro_runtime_batched_*`` counters exist only on the
-    batched driver by design; everything else must match streaming.
+    The four ``repro_runtime_batched_*`` counters and the
+    ``repro_runtime_batch_size`` histogram exist only on the batched
+    driver by design; everything else must match streaming.
     """
     return sorted(
         (
             metric
             for metric in registry.snapshot()["metrics"]
-            if "batched" not in metric["name"]
+            if not metric["name"].startswith("repro_runtime_batch")
         ),
         key=lambda metric: str(metric["name"]),
     )

@@ -1,10 +1,18 @@
-"""FleetNode: demand windows, budget application, slim-step protocol."""
+"""FleetNode: demand windows, budget application, slim-step protocol,
+and the one shared forest per node."""
+
+import copy
+import dataclasses
 
 import pytest
 
+from repro.core.optimizer import GreedyHillClimbOptimizer
 from repro.fleet.node import FleetNode
+from repro.hardware.apu import APUModel
+from repro.ml import predictors
 
 from tests.fleet.conftest import build_schedule_trace
+from tests.traces.conftest import COMPUTE, MEMORY
 
 pytestmark = pytest.mark.fleet
 
@@ -93,3 +101,83 @@ def test_drain_obs_resets_between_epochs(hosted):
         if m["kind"] == "counter"
     }
     assert all(v == 0 for v in totals.values())
+
+
+# ----- one forest per node ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_forest():
+    return predictors.train_predictor(
+        apu=APUModel(), kernels=[COMPUTE, MEMORY], n_estimators=3, max_depth=5
+    )
+
+
+@pytest.fixture()
+def forest_loads(monkeypatch, small_forest):
+    """Every ``train_predictor`` call; each returns a new predictor
+    object over one small forest, as unpickling the cache file does."""
+    calls = []
+
+    def load(**kwargs):
+        calls.append(kwargs)
+        return copy.copy(small_forest)
+
+    monkeypatch.setattr(predictors, "train_predictor", load)
+    return calls
+
+
+def forest_node(kinds):
+    """A node hosting one session per policy kind, ``s0``, ``s1``, ..."""
+    schedule = [f"s{i}" for i in range(len(kinds))] * 4
+    trace = build_schedule_trace(schedule, name="node-forest")
+    node = FleetNode("n")
+    for i, kind in enumerate(kinds):
+        spec = trace.session(f"s{i}")
+        policy = dataclasses.replace(
+            spec.policy, kind=kind,
+            predictor="forest" if kind in ("mpc", "ppk") else "oracle",
+        )
+        node.add_session(
+            dataclasses.replace(spec, policy=policy),
+            trace.unique_kernels(spec.session_id),
+        )
+    return node, [(e.index, e.session, e.spec.key) for e in trace.events]
+
+
+def test_forest_sessions_share_one_predictor(forest_loads):
+    node, _ = forest_node(["mpc", "ppk", "mpc", "turbo"])
+    shared = {
+        id(node.manager.session(sid).policy.optimizer.predictor)
+        for sid in ("s0", "s1", "s2")
+    }
+    assert shared == {id(node.forest)}
+    assert len(forest_loads) == 1
+
+
+def test_oracle_only_node_never_loads_the_forest(forest_loads):
+    trace = build_schedule_trace(["a", "b", "a", "b"], name="node-oracle")
+    node = FleetNode("n")
+    for sid in trace.session_ids():
+        node.add_session(trace.session(sid), trace.unique_kernels(sid))
+    node.step([(e.index, e.session, e.spec.key) for e in trace.events])
+    assert forest_loads == []
+
+
+def test_forest_sessions_share_one_sweep_per_wave(forest_loads, monkeypatch):
+    node, events = forest_node(["ppk", "ppk"])
+    sweeps = []
+    sweep_many = GreedyHillClimbOptimizer.sweep_many
+
+    def counting_sweep_many(self, counters):
+        sweeps.append(len(counters))
+        return sweep_many(self, counters)
+
+    monkeypatch.setattr(GreedyHillClimbOptimizer, "sweep_many",
+                        counting_sweep_many)
+    # Launch 0 decides fail-safe (no history, nothing to prefetch);
+    # launch 1 of both sessions forms one wave and one shared sweep.
+    node.step(events[:2])
+    assert sweeps == []
+    node.step(events[2:4])
+    assert len(sweeps) == 1

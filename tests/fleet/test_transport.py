@@ -1,5 +1,8 @@
 """Shard transports: the post/collect protocol and worker failures."""
 
+import os
+import signal
+
 import pytest
 
 from repro.fleet import InlineShard, ProcessShard, ShardError
@@ -69,6 +72,34 @@ def test_shard_error_is_attributed_to_the_right_command(mini):
         with pytest.raises(ShardError) as excinfo:
             shard.collect()
         assert excinfo.value.command == "remove_session"
+    finally:
+        shard.close()
+
+
+def test_dead_worker_raises_shard_error_with_exit_code(mini):
+    spec, kernels, _ = mini
+    shard = ProcessShard("n")
+    try:
+        # Stop the worker so the posted command is surely unanswered,
+        # then kill it: collect must see the closed pipe.
+        os.kill(shard._process.pid, signal.SIGSTOP)
+        shard.post("add_session", spec, kernels)
+        shard._process.kill()
+        shard._process.join(timeout=10.0)
+        assert not shard._process.is_alive()
+        with pytest.raises(ShardError) as excinfo:
+            shard.collect()
+        assert excinfo.value.node_id == "n"
+        assert excinfo.value.command == "add_session"
+        assert "exit code -9" in str(excinfo.value)
+        assert excinfo.value.__cause__ is None
+        assert excinfo.value.__suppress_context__
+        # Posting to the dead worker fails the same way.
+        with pytest.raises(ShardError) as excinfo:
+            shard.post("demand")
+        assert excinfo.value.command == "demand"
+        assert "exit code -9" in str(excinfo.value)
+        assert shard.collect() == []
     finally:
         shard.close()
 

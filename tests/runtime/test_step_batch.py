@@ -8,12 +8,14 @@ advisory prefetch, preload cleanup, and the batching telemetry.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.policies import PPKPolicy
 from repro.ml.predictors import OraclePredictor
 from repro.obs import make_instrumentation
-from repro.runtime.events import launch_events
-from repro.runtime.manager import SessionManager
+from repro.runtime.events import KernelLaunch, launch_events
+from repro.runtime.manager import SessionManager, wavefronts
 
 from .conftest import APP, turbo_target
 
@@ -126,3 +128,60 @@ def test_batching_telemetry_counts_sweeps_and_dedup(sim):
     assert registry.counter("repro_runtime_batched_launches_total").value() == 4
     assert registry.counter("repro_runtime_batched_sweeps_total").value() == 1
     assert registry.counter("repro_runtime_batched_dedup_hits_total").value() == 1
+
+
+def test_batch_size_histogram_recorded_only_when_instrumented(sim):
+    obs = make_instrumentation()
+    manager = _manager(sim, obs=obs)
+    events = _sessions(manager, sim, ["a", "b", "c"])
+    manager.step_batch([events["a"][0], events["b"][0], events["c"][0]])
+    manager.step_batch([events["a"][1]])
+    [metric] = [
+        m for m in obs.registry.snapshot()["metrics"]
+        if m["name"] == "repro_runtime_batch_size"
+    ]
+    [(_, series)] = metric["series"]
+    assert series["count"] == 2
+    assert series["sum"] == 4.0
+
+    noop = _manager(sim)
+    events = _sessions(noop, sim, ["a"])
+    noop.step_batch([events["a"][0]])
+    assert noop.obs.registry.metrics() == []
+
+
+# ----- wavefronts -------------------------------------------------------------
+
+
+@given(st.lists(st.sampled_from("abcde"), max_size=40))
+def test_wavefronts_keep_session_order_and_every_position(sessions):
+    kernel = APP.kernels[0]
+    events = [
+        KernelLaunch(index=i, spec=kernel, session_id=sid)
+        for i, sid in enumerate(sessions)
+    ]
+    waves = wavefronts(events)
+    positions = [position for wave in waves for position, _ in wave]
+    assert sorted(positions) == list(range(len(events)))
+    for wave in waves:
+        assert wave
+        assert len({event.session_id for _, event in wave}) == len(wave)
+        assert [position for position, _ in wave] == sorted(
+            position for position, _ in wave
+        )
+        assert all(events[position] is event for position, event in wave)
+    for sid in set(sessions):
+        in_waves = [p for wave in waves for p, e in wave if e.session_id == sid]
+        assert in_waves == [i for i, s in enumerate(sessions) if s == sid]
+
+
+def test_step_wavefronts_matches_streaming_in_input_order(sim):
+    waved = _manager(sim)
+    events = _sessions(waved, sim, ["a", "b"])
+    streaming = _manager(sim)
+    _sessions(streaming, sim, ["a", "b"])
+    stream = events["a"][:3] + events["b"][:2] + events["a"][3:5]
+    outcomes = waved.step_wavefronts(stream)
+    assert [o.session_id for o in outcomes] == [e.session_id for e in stream]
+    for event, outcome in zip(stream, outcomes):
+        assert outcome.record == streaming.dispatch(event).record
